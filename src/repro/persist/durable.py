@@ -113,21 +113,31 @@ def export_server_state(server: Automaton) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def _live_storage(server: Automaton, register_id: str) -> Optional[Automaton]:
-    """The storage automaton for *register_id*, consulted against the router's
-    *live* table (an admission elsewhere may have evicted what a cached
-    mapping still references), faulting the register in when the server has a
-    dynamic-keyspace hook."""
-    router = _unwrap(server)
+def _resident_storage(router: Automaton, register_id: str) -> Optional[Automaton]:
+    """The storage automaton for *register_id* in *router*'s live table.
+
+    *router* is an unwrapped server: a sharded router with a ``registers``
+    table, or a single-register server answering the default id ``""``.
+    Registers that are not resident (never admitted, evicted, dropped) yield
+    ``None``; nothing is faulted in.
+    """
     table = getattr(router, "registers", None)
     if table is None:
         return router if register_id == "" else None
     inner = table.get(register_id)
-    if inner is None:
+    return _unwrap(inner) if inner is not None else None
+
+
+def _live_storage(server: Automaton, register_id: str) -> Optional[Automaton]:
+    """The storage automaton for *register_id*, faulting the register in
+    through the dynamic-keyspace hook when it is not resident."""
+    storage = _resident_storage(_unwrap(server), register_id)
+    if storage is None:
         ensure = _ensure_hook(server)
         if ensure is not None:
             inner = ensure(register_id)
-    return _unwrap(inner) if inner is not None else None
+            storage = _unwrap(inner) if inner is not None else None
+    return storage
 
 
 def restore_server_state(server: Automaton, state: Dict[str, Dict[str, Any]]) -> None:
@@ -180,15 +190,8 @@ class DurableServer(Automaton):
         self.wal = wal
         self.incarnation = incarnation
         self.snapshots = snapshots
-        self._registers = storage_registers(inner)
-        # Dynamic keyspace: the router bumps ``registers_generation`` on every
-        # admission/eviction, invalidating the cached mapping above; static
-        # routers have no generation and the cache lives forever.
         self._router = _unwrap(inner)
         self._ensure = _ensure_hook(inner)
-        self._generation: Optional[int] = getattr(
-            self._router, "registers_generation", None
-        )
         # When set (inside an append_batch() scope), records accumulate here
         # and reach the WAL in one append — one fsync per message batch.
         self._buffered: Optional[List[WalRecord]] = None
@@ -199,13 +202,6 @@ class DurableServer(Automaton):
         """Whether the wrapped server participates in message batching."""
         return bool(getattr(self.inner, "batching", False))
 
-    def _storage_for(self, register_id: str) -> Optional[Automaton]:
-        generation = getattr(self._router, "registers_generation", None)
-        if generation != self._generation:
-            self._registers = storage_registers(self.inner)
-            self._generation = generation
-        return self._registers.get(register_id)
-
     # -------------------------------------------------------------- durable IO
     def handle_message(self, message: Message) -> Effects:
         register_id = getattr(message, "register_id", "")
@@ -214,7 +210,7 @@ class DurableServer(Automaton):
             # admission (and any rehydration) is not mistaken for a change
             # this message made — only genuine updates reach the WAL.
             self._ensure(register_id)
-        storage = self._storage_for(register_id)
+        storage = _resident_storage(self._router, register_id)
         before = self._capture(storage)
         effects = self.inner.handle_message(message)
         records = self._diff(register_id, storage, before)

@@ -18,6 +18,7 @@ or synchronously via :meth:`AsyncCluster.run_scenario`.
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional, Union
 
 __all__ = [
@@ -132,6 +133,9 @@ class AsyncCluster:
         self.server_nodes: Dict[str, AutomatonNode] = {}
         self.client_nodes: Dict[str, AutomatonNode] = {}
         self._started = False
+        #: The one clock origin every client node stamps its records against,
+        #: so ``history()`` compares times taken on the same clock.
+        self.start_time = time.monotonic()
         self._build_nodes()
 
     #: Node class hosting client automata; the sharded cluster overrides it.
@@ -145,13 +149,13 @@ class AsyncCluster:
         writer = self.suite.create_writer()
         writer.timer_delay = self.timer_delay
         self.client_nodes[self.config.writer_id] = self.CLIENT_NODE_CLASS(
-            writer, self.transport, time_scale=self.time_scale
+            writer, self.transport, time_scale=self.time_scale, start_time=self.start_time
         )
         for reader_id in self.config.reader_ids():
             reader = self.suite.create_reader(reader_id)
             reader.timer_delay = self.timer_delay
             self.client_nodes[reader_id] = self.CLIENT_NODE_CLASS(
-                reader, self.transport, time_scale=self.time_scale
+                reader, self.transport, time_scale=self.time_scale, start_time=self.start_time
             )
 
     # ----------------------------------------------------------------- lifecycle
@@ -367,9 +371,7 @@ class ShardedAsyncCluster(AsyncCluster):
         incarnation = self._drop_counts.get(key, 0) + 1
         self._drop_counts[key] = incarnation
         for client in self.client_nodes.values():
-            for record in client.records:
-                if record.metadata.get("register_id") == key:
-                    record.metadata["register_id"] = f"{key}#{incarnation}"
+            client.archive_register(key, f"{key}#{incarnation}")
 
     @property
     def evictions(self) -> int:
@@ -435,11 +437,11 @@ class ShardedAsyncCluster(AsyncCluster):
 
     # ------------------------------------------------------------------ history
     def history(self, key: Optional[str] = None) -> History:  # type: ignore[override]
+        if key is None:
+            return super().history()
         records = []
         for node in self.client_nodes.values():
-            records.extend(node.records)
-        if key is not None:
-            records = [r for r in records if r.metadata.get("register_id") == key]
+            records.extend(node.records_by_register.get(key, ()))
         return History(records)
 
     def histories(self) -> Dict[str, History]:
@@ -448,13 +450,8 @@ class ShardedAsyncCluster(AsyncCluster):
         Keys are taken from the records themselves (union the live keyspace),
         so operations on registers dropped since remain checkable.
         """
-        observed = {
-            r.metadata.get("register_id")
-            for node in self.client_nodes.values()
-            for r in node.records
-        }
-        keys = sorted(set(self.keys) | {k for k in observed if isinstance(k, str)})
-        return {key: self.history(key) for key in keys}
+        observed = {key for node in self.client_nodes.values() for key in node.records_by_register}
+        return {key: self.history(key) for key in sorted(set(self.keys) | observed)}
 
 
 def sharded_tcp_cluster(

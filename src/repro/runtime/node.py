@@ -13,7 +13,7 @@ import asyncio
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..core.automaton import Automaton, ClientAutomaton, Effects, OperationComplete
 from ..core.messages import Message, iter_unbatched, make_envelope
@@ -314,13 +314,19 @@ def _record_completion(
 
 
 class ClientNode(AutomatonNode):
-    """A node hosting a client automaton; exposes awaitable operations."""
+    """A node hosting a client automaton; exposes awaitable operations.
+
+    Records are stamped relative to ``start_time``; a cluster passes one
+    origin to all of its client nodes so their records share one clock.
+    """
 
     def __init__(
         self,
         automaton: ClientAutomaton,
         transport: Transport,
         time_scale: float = 0.001,
+        *,
+        start_time: float,
     ) -> None:
         super().__init__(automaton, transport, time_scale=time_scale)
         self._pending_future: Optional[asyncio.Future] = None
@@ -328,7 +334,7 @@ class ClientNode(AutomatonNode):
         self._pending_kind: str = ""
         self._pending_value: Any = None
         self.records: list[OperationRecord] = []
-        self.start_time = time.monotonic()
+        self.start_time = start_time
 
     # ------------------------------------------------------------- operations
     async def write(self, value: Any) -> OperationComplete:
@@ -391,11 +397,23 @@ class ShardedClientNode(AutomatonNode):
         automaton: Automaton,
         transport: Transport,
         time_scale: float = 0.001,
+        *,
+        start_time: float,
     ) -> None:
         super().__init__(automaton, transport, time_scale=time_scale)
         self._pending: Dict[str, _PendingStoreOperation] = {}
         self.records: list[OperationRecord] = []
-        self.start_time = time.monotonic()
+        #: ``records`` by register id, so per-key histories and drops need
+        #: not scan every record.
+        self.records_by_register: Dict[str, List[OperationRecord]] = {}
+        self.start_time = start_time
+
+    def archive_register(self, register_id: str, archive_id: str) -> None:
+        """Re-key every record of *register_id* to *archive_id*."""
+        records = self.records_by_register.pop(register_id, [])
+        for record in records:
+            record.metadata["register_id"] = archive_id
+        self.records_by_register.setdefault(archive_id, []).extend(records)
 
     # ------------------------------------------------------------- operations
     async def write(self, key: str, value: Any) -> OperationComplete:
@@ -466,4 +484,5 @@ class ShardedClientNode(AutomatonNode):
         # the observed state inside the automaton), so take it from there.
         value = completion.value if pending.kind == "rmw" else pending.value
         _record_completion(self, completion, pending.started, value)
+        self.records_by_register.setdefault(key, []).append(self.records[-1])
         pending.future.set_result(completion)

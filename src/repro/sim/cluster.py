@@ -175,6 +175,7 @@ class SimCluster:
         durable: bool = False,
         compact_every: Optional[int] = None,
         topology: Optional[Topology] = None,
+        trace_entries: bool = False,
     ) -> None:
         if topology is not None and delay_model is not None:
             raise ValueError(
@@ -224,7 +225,10 @@ class SimCluster:
 
         self.now: float = 0.0
         self.queue = EventQueue()
-        self.trace = MessageTrace()
+        #: Message counters; ``trace_entries=True`` also keeps one entry per
+        #: message for tests that assert communication patterns (the list
+        #: grows with the run, so it is off by default).
+        self.trace = MessageTrace(record_entries=trace_entries)
         #: Diagnostics: events dispatched, frames put on the wire, protocol
         #: messages carried by them (frames < messages when batching is on)
         #: and the encoded wire bytes of those frames under :attr:`codec`.
@@ -245,6 +249,10 @@ class SimCluster:
         # None for single-register deployments, so plain clients keep exactly
         # one slot while sharded clients get one slot per register.
         self._pending: Dict[Tuple[str, Optional[str]], OperationHandle] = {}
+        # Sharded operations by register id, in invocation order: per-key
+        # histories and drop archiving cost O(that key's operations), not
+        # O(every operation of the run).
+        self._by_register: Dict[str, List[OperationHandle]] = {}
 
         self.processes: Dict[str, Automaton] = {}
         self._build_processes()
@@ -442,6 +450,13 @@ class SimCluster:
         )
 
     # ------------------------------------------------------------ invocation
+    def _track(self, handle: OperationHandle) -> None:
+        """Record an invoked operation: history, pending slot, register index."""
+        self.operations.append(handle)
+        self._pending[(handle.client_id, handle.register_id)] = handle
+        if handle.register_id is not None:
+            self._by_register.setdefault(handle.register_id, []).append(handle)
+
     def start_write(self, value: Any) -> OperationHandle:
         """Invoke a WRITE now; returns a handle that completes as the loop runs."""
         writer = self.writer
@@ -455,8 +470,7 @@ class SimCluster:
             requested_value=value,
             invoked_at=self.now,
         )
-        self.operations.append(handle)
-        self._pending[(writer.process_id, None)] = handle
+        self._track(handle)
         self._apply_effects(writer.process_id, effects)
         return handle
 
@@ -468,8 +482,7 @@ class SimCluster:
         handle = OperationHandle(
             client_id=reader_id, kind="read", invoked_at=self.now
         )
-        self.operations.append(handle)
-        self._pending[(reader_id, None)] = handle
+        self._track(handle)
         self._apply_effects(reader_id, effects)
         return handle
 
@@ -503,8 +516,7 @@ class SimCluster:
             invoked_at=self.now,
             register_id=register_id,
         )
-        self.operations.append(handle)
-        self._pending[(writer.process_id, register_id)] = handle
+        self._track(handle)
         self._apply_effects(writer.process_id, effects)
         return handle
 
@@ -521,8 +533,7 @@ class SimCluster:
             invoked_at=self.now,
             register_id=register_id,
         )
-        self.operations.append(handle)
-        self._pending[(reader_id, register_id)] = handle
+        self._track(handle)
         self._apply_effects(reader_id, effects)
         return handle
 
@@ -548,8 +559,7 @@ class SimCluster:
             invoked_at=self.now,
             register_id=register_id,
         )
-        self.operations.append(handle)
-        self._pending[(client.process_id, register_id)] = handle
+        self._track(handle)
         self._apply_effects(client.process_id, effects)
         return handle
 
@@ -568,8 +578,7 @@ class SimCluster:
             invoked_at=self.now,
             register_id=register_id,
         )
-        self.operations.append(handle)
-        self._pending[(client.process_id, register_id)] = handle
+        self._track(handle)
         self._apply_effects(client.process_id, effects)
         return handle
 
@@ -626,9 +635,8 @@ class SimCluster:
 
         def _invoke() -> None:
             effects = self.writer.write(value)  # type: ignore[attr-defined]
-            self.operations.append(handle)
             handle.invoked_at = self.now
-            self._pending[(self.config.writer_id, None)] = handle
+            self._track(handle)
             self._apply_effects(self.config.writer_id, effects)
 
         self.queue.push(at, InvocationEvent(label=f"write@{at}", action=_invoke))
@@ -641,9 +649,8 @@ class SimCluster:
 
         def _invoke() -> None:
             effects = self.reader(reader_id).read()  # type: ignore[attr-defined]
-            self.operations.append(handle)
             handle.invoked_at = self.now
-            self._pending[(reader_id, None)] = handle
+            self._track(handle)
             self._apply_effects(reader_id, effects)
 
         self.queue.push(at, InvocationEvent(label=f"read@{at}", action=_invoke))
@@ -956,21 +963,29 @@ class SimCluster:
         With *register_id*, only that register's operations are returned — the
         per-key history a single-register consistency checker understands.
         """
-        handles = self.operations
-        if register_id is not None:
-            handles = [h for h in handles if h.register_id == register_id]
+        if register_id is None:
+            handles = self.operations
+        else:
+            handles = self._by_register.get(register_id, [])
         return History([handle.to_record() for handle in handles])
 
     def register_histories(self) -> Dict[str, History]:
         """Per-register histories of every sharded operation invoked so far."""
-        by_register: Dict[str, List[OperationHandle]] = {}
-        for handle in self.operations:
-            if handle.register_id is not None:
-                by_register.setdefault(handle.register_id, []).append(handle)
         return {
             register_id: History([handle.to_record() for handle in handles])
-            for register_id, handles in sorted(by_register.items())
+            for register_id, handles in sorted(self._by_register.items())
         }
+
+    def archive_register(self, register_id: str, archive_id: str) -> None:
+        """Re-key every operation recorded on *register_id* to *archive_id*.
+
+        A dropped register's history stays checkable under its archive id,
+        while a later register of the same name starts an empty history.
+        """
+        handles = self._by_register.pop(register_id, [])
+        for handle in handles:
+            handle.register_id = archive_id
+        self._by_register.setdefault(archive_id, []).extend(handles)
 
     def completed_operations(self) -> List[OperationHandle]:
         return [handle for handle in self.operations if handle.done]

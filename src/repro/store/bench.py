@@ -1373,6 +1373,7 @@ def run_asyncio_churn(
 
     async def _scenario(store: "ShardedAsyncCluster") -> None:
         fast = 0
+        started = time.perf_counter()
         for wave_start in range(0, num_registers, wave):
             indices = range(wave_start, min(wave_start + wave, num_registers))
             fast += sum(await asyncio.gather(*(_one(store, i) for i in indices)))
@@ -1380,6 +1381,7 @@ def run_asyncio_churn(
                 revisit = f"churn-{wave_start - wave:06d}"
                 if revisit in store.suite._register_id_set:
                     await store.read(revisit)
+        counters["wall_s"] = time.perf_counter() - started
         counters["fast"] = fast
         counters["evictions"] = store.evictions
         counters["rehydrations"] = store.rehydrations
@@ -1409,7 +1411,7 @@ def run_asyncio_churn(
         "drops": 0,
         "evictions": counters["evictions"],
         "rehydrations": counters["rehydrations"],
-        "throughput": 0.0,
+        "wall_ops_per_s": float(counters["operations"]) / counters["wall_s"],
         "atomic": "yes" if counters["atomic"] else "NO",
     }
 
@@ -1450,7 +1452,8 @@ def topology_sweep(
             "rehydrations",
             "throughput",
             "atomic",
-        ],
+        ]
+        + (["wall_ops_per_s"] if churn else []),
     )
     for profile in profiles:
         for scenario in scenarios:
@@ -1490,6 +1493,12 @@ def topology_sweep(
         "pass before any number is reported (partitions cost the fast path "
         "and availability, never linearizability)"
     )
+    if churn:
+        table.add_note(
+            "throughput is completed operations per virtual time unit "
+            "(simulator rows); wall_ops_per_s is completed operations per "
+            "wall-clock second (asyncio row)"
+        )
     table.add_note(
         "partition rows sever the first server's zone for the middle third "
         "of the run; gray rows slow one server's links by a full round "

@@ -116,10 +116,6 @@ class _RegisterRouter:
     evictable: Optional[Callable[[str], bool]] = None
     #: Whether a message for a non-resident register triggers admission.
     admit_on_message = False
-    #: Bumped on every admission / eviction / drop so wrappers caching the
-    #: register table (:class:`~repro.persist.durable.DurableServer`) know to
-    #: refresh it.
-    registers_generation = 0
     evictions = 0
     rehydrations = 0
 
@@ -161,7 +157,6 @@ class _RegisterRouter:
                 restore_register_state(inner, state)
                 self.rehydrations += 1
         self.registers[register_id] = inner
-        self.registers_generation += 1
         self._evict_over_bound()
         return inner
 
@@ -194,14 +189,12 @@ class _RegisterRouter:
             return False
         self.eviction_store.save(register_id, export_register_state(inner))
         del self.registers[register_id]
-        self.registers_generation += 1
         self.evictions += 1
         return True
 
     def discard_register(self, register_id: str) -> None:
         """Forget *register_id* entirely (dropped keyspace entry, not eviction)."""
-        if self.registers.pop(register_id, None) is not None:
-            self.registers_generation += 1
+        self.registers.pop(register_id, None)
         if self.eviction_store is not None:
             self.eviction_store.discard(register_id)
 

@@ -203,9 +203,7 @@ class ShardedSimStore:
                 router.discard_register(key)
         incarnation = self._drop_counts.get(key, 0) + 1
         self._drop_counts[key] = incarnation
-        for handle in self.cluster.operations:
-            if handle.register_id == key:
-                handle.register_id = f"{key}#{incarnation}"
+        self.cluster.archive_register(key, f"{key}#{incarnation}")
 
     @property
     def max_resident(self) -> Optional[int]:

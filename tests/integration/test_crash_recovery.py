@@ -102,6 +102,7 @@ class TestAtomicityAcrossRecoveries:
             delay_model=FixedDelay(1.0),
             failures=CrashRecoverySchedule(),
             durable=True,
+            trace_entries=True,
         )
         cluster.write("v0")
         cluster.crash("s1")
@@ -196,6 +197,7 @@ class TestStaleEpochRejection:
             delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
+            trace_entries=True,
         )
         # PW arrives at the servers at t=1; their acks (sent at t=1, epoch 0)
         # arrive at t=2 — after s1 recovered at t=1.8 under incarnation 1.
@@ -219,6 +221,7 @@ class TestStaleEpochRejection:
             delay_model=FixedDelay(1.0),
             failures=schedule,
             durable=True,
+            trace_entries=True,
         )
         cluster.run_for(8.0)
         cluster.write("post-recovery")

@@ -13,6 +13,7 @@ from repro.core.protocol import LuckyAtomicProtocol
 from repro.core.types import is_bottom
 from repro.runtime.cluster import ShardedAsyncCluster
 from repro.store.sim import ShardedSimStore
+from repro.verify.atomicity import check_atomicity
 from repro.workload.generator import churn_workload, run_store_workload
 
 
@@ -66,6 +67,91 @@ class TestDynamicMembership:
         store = bounded_store(max_resident=None)
         with pytest.raises(KeyError):
             store.write("ghost", "x")
+
+
+def _lifecycles(key="k", cycles=3):
+    """Create, write, read and drop *key* *cycles* times, then create it again,
+    with a second register used throughout so the index is not one list."""
+    for cycle in range(cycles):
+        yield "create", key, None
+        yield "write", key, f"v{cycle}"
+        yield "write", "other", f"o{cycle}"
+        yield "read", key, None
+        yield "drop", key, None
+    yield "create", key, None
+    yield "write", key, "last"
+    yield "read", key, None
+
+
+class TestDropArchiving:
+    """Drops move only the dropped key's operations, and every history is the
+    one a scan over all recorded operations gives."""
+
+    def test_sim_archives_match_a_linear_scan(self):
+        store = bounded_store(max_resident=None, keys=["other"])
+        cluster = store.cluster
+        archived = {}
+        for step, key, value in _lifecycles():
+            if step == "create":
+                store.create_register(key)
+            elif step == "write":
+                store.write(key, value)
+            elif step == "read":
+                store.read(key)
+            else:
+                live = [h for h in cluster.operations if h.register_id == key]
+                store.drop_register(key)
+                archive_id = f"{key}#{len(archived) + 1}"
+                assert all(h.register_id == archive_id for h in live)
+                archived[archive_id] = live
+        histories = store.histories()
+        assert sorted(histories) == ["k", "k#1", "k#2", "k#3", "other"]
+        for archive_id, handles in archived.items():
+            assert len(handles) == 2
+            assert histories[archive_id].records == [h.to_record() for h in handles]
+        for key in histories:
+            scanned = [h.to_record() for h in cluster.operations if h.register_id == key]
+            assert histories[key].records == scanned
+            assert cluster.history(key).records == scanned
+        assert [r.value for r in histories["k"].writes()] == ["last"]
+        assert store.verify_atomic()
+
+    def test_asyncio_archives_match_a_linear_scan(self):
+        base = LuckyAtomicProtocol(config())
+
+        def scan(store, key):
+            return [
+                record
+                for node in store.client_nodes.values()
+                for record in node.records
+                if record.metadata["register_id"] == key
+            ]
+
+        async def scenario(store):
+            archived = {}
+            for step, key, value in _lifecycles():
+                if step == "create":
+                    store.create_register(key)
+                elif step == "write":
+                    await store.write(key, value)
+                elif step == "read":
+                    await store.read(key)
+                else:
+                    live = scan(store, key)
+                    store.drop_register(key)
+                    archived[f"{key}#{len(archived) + 1}"] = live
+            histories = store.histories()
+            assert sorted(histories) == ["k", "k#1", "k#2", "k#3", "other"]
+            for archive_id, records in archived.items():
+                assert len(records) == 2
+                assert histories[archive_id].records == records
+            for key in histories:
+                assert histories[key].records == scan(store, key)
+            assert [r.value for r in histories["k"].writes()] == ["last"]
+            for history in histories.values():
+                check_atomicity(history).raise_if_violated()
+
+        ShardedAsyncCluster.run_scenario(base, scenario, keys=["other"], message_delay_s=0.0005)
 
 
 class TestEvictionRoundTrip:
@@ -156,8 +242,6 @@ class TestAsyncioEvictionRoundTrip:
             fresh = await store.read("k3")
             assert is_bottom(fresh.value)
             for history in store.histories().values():
-                from repro.verify.atomicity import check_atomicity
-
                 check_atomicity(history).raise_if_violated()
 
         ShardedAsyncCluster.run_scenario(

@@ -8,12 +8,14 @@ simulator and the asyncio runtime (in-memory and TCP transports).
 """
 
 import asyncio
+import time
 
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.protocol import LuckyAtomicProtocol
 from repro.runtime.cluster import ShardedAsyncCluster, sharded_tcp_cluster
+from repro.runtime.node import ShardedClientNode
 from repro.sim.byzantine import StaleReplayStrategy
 from repro.sim.latency import FixedDelay
 from repro.store.bench import run_store_throughput, zipf_store_scenario
@@ -157,6 +159,31 @@ class TestAsyncShardedStore:
         assert set(histories) == set(keys)
         for history in histories.values():
             assert check_atomicity(history).ok
+
+    def test_client_records_share_one_clock_origin(self):
+        """Client nodes built apart in time still stamp records on one clock:
+        a read on the last-built client of a write on the first checks atomic
+        on the raw histories."""
+        config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=2)
+
+        class SlowlyBuiltClientNode(ShardedClientNode):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.05)
+                super().__init__(*args, **kwargs)
+
+        class Store(ShardedAsyncCluster):
+            CLIENT_NODE_CLASS = SlowlyBuiltClientNode
+
+        async def scenario():
+            async with Store(LuckyAtomicProtocol(config), ["k1"]) as store:
+                await store.write("k1", "a")
+                read = await store.read("k1", config.reader_ids()[-1])
+                return store, read
+
+        store, read = asyncio.run(scenario())
+        assert read.value == "a"
+        check_atomicity(store.histories()["k1"]).raise_if_violated()
+        assert {node.start_time for node in store.client_nodes.values()} == {store.start_time}
 
     def test_per_key_well_formedness_enforced_on_asyncio(self):
         config = SystemConfig(t=1, b=0, fw=1, fr=0, num_readers=1)

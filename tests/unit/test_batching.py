@@ -161,7 +161,7 @@ class TestSimBatching:
         assert batched.throughput() > unbatched.throughput()
 
     def test_batch_deliveries_are_traced_per_protocol_message(self):
-        store = _store(["k1", "k2"], batching=True, frame_overhead=0.1)
+        store = _store(["k1", "k2"], batching=True, frame_overhead=0.1, trace_entries=True)
         workload = dense_store_workload(
             16, store.keys, store.config.reader_ids(), gap=0.01
         )
@@ -181,7 +181,12 @@ class TestSimBatching:
                 return DROP
             return None
 
-        store = _store(["k1", "k2"], batching=True, message_filter=drop_prewrites_to_s1)
+        store = _store(
+            ["k1", "k2"],
+            batching=True,
+            message_filter=drop_prewrites_to_s1,
+            trace_entries=True,
+        )
         store.write("k1", "a")
         store.write("k2", "b")
         assert store.read("k1").value == "a"

@@ -139,3 +139,9 @@ class TestTopologySweep:
         assert all(label.startswith("churn") for label in scenarios[2:])
         assert all(row["atomic"] == "yes" for row in table.rows)
         assert all(row["completed"] == row["operations"] for row in table.rows)
+        # The asyncio row reports wall-clock operations per second in its own
+        # column, so the virtual-time throughput column never mixes units.
+        assert table.rows[3]["profile"] == "asyncio"
+        assert float(table.rows[3]["wall_ops_per_s"]) > 0.0
+        assert "throughput" not in table.rows[3]
+        assert "wall_ops_per_s" not in table.rows[2]

@@ -124,7 +124,7 @@ class TestOperationHandles:
 class TestFailureInjection:
     def test_crashed_server_receives_nothing(self, config):
         failures = FailureSchedule.crash_at_start(["s6"])
-        cluster = build(config, failures=failures)
+        cluster = build(config, failures=failures, trace_entries=True)
         cluster.write("x")
         assert cluster.server("s6").pw.ts == 0
         dropped = [entry for entry in cluster.trace.dropped() if entry.destination == "s6"]
